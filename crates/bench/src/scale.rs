@@ -6,15 +6,17 @@
 //! This sweep drives the ISSUE 7 work-stealing scheduler across session
 //! counts × worker counts and records throughput (prefetch windows per
 //! second — one window per query), residual latency percentiles, and the
-//! scheduler's steal/park/shed counters, plus a thread-per-session
-//! baseline at the smallest count (spawning 100k OS threads is the
-//! pathology the scheduler exists to avoid, so the baseline stays small).
+//! scheduler's steal/park/shed counters.
 //!
 //! Two guard values, checked by CI against `BENCH_scale.json`:
 //!
 //! * `mn_vs_rr_pages_hit_mismatches` — at the smallest count, under the
 //!   eviction-free config of DESIGN.md §5, every measured width must
-//!   produce exactly round-robin's pages-hit totals (0 = all match).
+//!   produce exactly round-robin's pages-hit totals, and those totals must
+//!   be non-zero (0 = all match). The guard fleet always runs full-length
+//!   8-query streams: at reduced scale the sweep's 2-query streams never
+//!   let [`StraightLine`] prefetch, and 0 hits matching 0 hits proves
+//!   nothing.
 //! * `mn_w1_regressions` — width-1 M:N runs the same in-order loop as
 //!   round-robin, so its wall clock must stay within noise (2×) of RR
 //!   (0 = within bound).
@@ -39,6 +41,9 @@ use std::time::Instant;
 const STREAM_POOL: usize = 64;
 /// Tenants the fleet is spread over.
 const TENANTS: usize = 4;
+/// Queries per session at full scale; the guard fleet runs this many at
+/// every scale.
+const GUARD_QUERIES: usize = 8;
 
 /// One (session count × worker count) measurement.
 #[derive(Debug, Clone)]
@@ -73,17 +78,6 @@ pub struct ScalePoint {
     pub rounds: u64,
 }
 
-/// The thread-per-session reference at the smallest session count.
-#[derive(Debug, Clone)]
-pub struct BaselinePoint {
-    /// Concurrent sessions (= OS threads spawned).
-    pub sessions: usize,
-    /// Wall-clock time, ms.
-    pub wall_ms: f64,
-    /// Windows per wall-clock second.
-    pub windows_per_sec: f64,
-}
-
 /// One width's determinism check at the smallest count (eviction-free
 /// config): M:N totals vs the round-robin oracle.
 #[derive(Debug, Clone)]
@@ -103,9 +97,10 @@ pub struct GuardPoint {
 }
 
 impl GuardPoint {
-    /// True when this width reproduced round-robin's accounting exactly.
+    /// True when this width reproduced round-robin's accounting exactly,
+    /// on a fleet that actually hit the cache.
     pub fn matches(&self) -> bool {
-        self.pages_hit == self.rr_pages_hit && self.evictions == 0
+        self.pages_hit == self.rr_pages_hit && self.rr_pages_hit > 0 && self.evictions == 0
     }
 }
 
@@ -114,14 +109,12 @@ impl GuardPoint {
 pub struct ScaleReport {
     /// Scale factor the sweep ran at.
     pub scale: f64,
-    /// Queries per session.
+    /// Queries per session in the sweep (the guard fleet always runs 8).
     pub queries_per_session: usize,
     /// Machine parallelism (`SCOUT_THREADS`-aware).
     pub max_parallelism: usize,
     /// One entry per (session count × worker count), sweep order.
     pub points: Vec<ScalePoint>,
-    /// Thread-per-session baseline at the smallest count.
-    pub baseline: BaselinePoint,
     /// One determinism check per width, at the smallest count.
     pub guards: Vec<GuardPoint>,
     /// Fault-injection plan of the sweep (always disabled here; recorded
@@ -144,23 +137,6 @@ impl ScaleReport {
             .iter()
             .filter(|g| g.workers == 1 && g.wall_ms > 2.0 * g.rr_wall_ms.max(1.0))
             .count() as u64
-    }
-
-    /// M:N (at machine parallelism) throughput over thread-per-session
-    /// throughput at the baseline's session count. Recorded, not
-    /// CI-guarded: single-core CI runners cannot measure parallelism.
-    pub fn threaded_speedup(&self) -> f64 {
-        let best = self
-            .points
-            .iter()
-            .filter(|p| p.sessions == self.baseline.sessions)
-            .map(|p| p.windows_per_sec)
-            .fold(0.0f64, f64::max);
-        if self.baseline.windows_per_sec > 0.0 {
-            best / self.baseline.windows_per_sec
-        } else {
-            0.0
-        }
     }
 
     /// Serializes the report as pretty-printed JSON (no external deps).
@@ -213,12 +189,7 @@ impl ScaleReport {
             ));
         }
         out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"baseline\": {{ \"schedule\": \"threaded\", \"sessions\": {}, \
-             \"wall_ms\": {:.1}, \"windows_per_sec\": {:.0} }},\n",
-            self.baseline.sessions, self.baseline.wall_ms, self.baseline.windows_per_sec
-        ));
-        out.push_str("  \"guard\": {\n");
+        out.push_str(&format!("  \"guard\": {{\n    \"queries_per_session\": {GUARD_QUERIES},\n"));
         for g in &self.guards {
             out.push_str(&format!(
                 "    \"width_{}\": {{ \"pages_hit\": {}, \"rr_pages_hit\": {}, \
@@ -227,9 +198,8 @@ impl ScaleReport {
             ));
         }
         out.push_str(&format!(
-            "    \"threaded_speedup\": {:.2},\n    \"mn_vs_rr_pages_hit_mismatches\": {},\n    \
+            "    \"mn_vs_rr_pages_hit_mismatches\": {},\n    \
              \"mn_w1_regressions\": {}\n  }}\n}}\n",
-            self.threaded_speedup(),
             self.mn_vs_rr_pages_hit_mismatches(),
             self.mn_w1_regressions()
         ));
@@ -276,14 +246,16 @@ fn windows_per_sec(report: &MultiSessionReport, wall_ms: f64) -> f64 {
 pub fn run(scale_factor: f64, seed: u64) -> ScaleReport {
     let dataset = crate::neuron_dataset_with_objects(20_000);
     let bed = TestBed::with_page_capacity(dataset, 32);
-    let queries_per_session = ((8.0 * scale_factor).round() as usize).clamp(2, 8);
-    let params =
-        SequenceParams { length: queries_per_session, ..SequenceParams::sensitivity_default() };
-    let streams: Vec<Vec<QueryRegion>> =
+    let queries_per_session =
+        ((GUARD_QUERIES as f64 * scale_factor).round() as usize).clamp(2, GUARD_QUERIES);
+    let stream_pool = |length: usize| -> Vec<Vec<QueryRegion>> {
+        let params = SequenceParams { length, ..SequenceParams::sensitivity_default() };
         generate_sequences(&bed.dataset, &params, STREAM_POOL, seed)
             .into_iter()
             .map(|s| s.regions)
-            .collect();
+            .collect()
+    };
+    let streams = stream_pool(queries_per_session);
 
     // Pressure config for the throughput sweep: a shared cache far smaller
     // than the working set, so admission-relevant contention is real.
@@ -328,29 +300,14 @@ pub fn run(scale_factor: f64, seed: u64) -> ScaleReport {
         }
     }
 
-    // Thread-per-session baseline, smallest count only: the point of the
-    // M:N scheduler is that this does not scale.
-    let smallest = counts[0];
-    let baseline = {
-        let engine = MultiSessionExecutor::new(MultiSessionConfig {
-            exec: pressure,
-            shards: 16,
-            schedule: Schedule::Threaded,
-            ..Default::default()
-        });
-        let (report, wall_ms) = run_timed(&engine, &bed, build_sessions(smallest, &streams));
-        BaselinePoint {
-            sessions: smallest,
-            wall_ms,
-            windows_per_sec: windows_per_sec(&report, wall_ms),
-        }
-    };
-
     // Determinism guard, smallest count, eviction-free config: the cache
     // holds the whole layout and uses a single shard, so per-shard capacity
     // equals the page count and eviction is structurally impossible (16
     // shards would split the budget and let a skewed shard overflow even
     // though the total fits). Totals must equal round-robin at every width.
+    // Full-length streams at every scale, so the fleet really prefetches.
+    let smallest = counts[0];
+    let guard_streams = stream_pool(GUARD_QUERIES);
     let ample = ExecutorConfig {
         window_ratio: 8.0,
         cache_pages: bed.rtree.layout().page_count(),
@@ -362,7 +319,7 @@ pub fn run(scale_factor: f64, seed: u64) -> ScaleReport {
         schedule: Schedule::RoundRobin,
         ..Default::default()
     });
-    let (rr, rr_wall_ms) = run_timed(&rr_engine, &bed, build_sessions(smallest, &streams));
+    let (rr, rr_wall_ms) = run_timed(&rr_engine, &bed, build_sessions(smallest, &guard_streams));
     let guards = widths
         .iter()
         .map(|&workers| {
@@ -372,7 +329,7 @@ pub fn run(scale_factor: f64, seed: u64) -> ScaleReport {
                 schedule: Schedule::WorkStealing { workers },
                 ..Default::default()
             });
-            let (ws, wall_ms) = run_timed(&engine, &bed, build_sessions(smallest, &streams));
+            let (ws, wall_ms) = run_timed(&engine, &bed, build_sessions(smallest, &guard_streams));
             GuardPoint {
                 workers,
                 pages_hit: ws.total_pages_hit(),
@@ -389,7 +346,6 @@ pub fn run(scale_factor: f64, seed: u64) -> ScaleReport {
         queries_per_session,
         max_parallelism: default_parallelism(),
         points,
-        baseline,
         guards,
         faults: pressure.faults,
     }

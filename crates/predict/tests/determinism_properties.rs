@@ -2,7 +2,7 @@
 //!
 //! Property 1 — schedule independence: a [`HybridPrefetcher`] fleet whose
 //! sessions touch disjoint page sets produces byte-identical per-session
-//! traces under the round-robin and the threaded
+//! traces under the round-robin and the width-2 work-stealing
 //! [`MultiSessionExecutor`] schedules (and across repeated runs of either).
 //! The fixture makes disjointness structural, not statistical: one point
 //! cluster per session, clusters 100 000 µm apart on the x axis, queries
@@ -122,7 +122,7 @@ fn session_signature(report: &MultiSessionReport, id: usize) -> (usize, u64, u64
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Round-robin and threaded schedules agree bit-for-bit per session,
+    /// Round-robin and width-2 schedules agree bit-for-bit per session,
     /// and each schedule is reproducible against itself.
     #[test]
     fn hybrid_fleet_traces_are_schedule_independent(
@@ -136,7 +136,7 @@ proptest! {
 
         let rr = run_fleet(&objects, &tree, Schedule::RoundRobin, &seeds, laps);
         let rr2 = run_fleet(&objects, &tree, Schedule::RoundRobin, &seeds, laps);
-        let th = run_fleet(&objects, &tree, Schedule::Threaded, &seeds, laps);
+        let th = run_fleet(&objects, &tree, Schedule::WorkStealing { workers: 2 }, &seeds, laps);
 
         // Precondition for exact equality: the runs never evicted.
         prop_assert_eq!(rr.cache.evictions, 0);
@@ -145,7 +145,7 @@ proptest! {
         for id in 0..k {
             let a = session_signature(&rr, id);
             prop_assert_eq!(a, session_signature(&rr2, id), "round-robin not reproducible");
-            prop_assert_eq!(a, session_signature(&th, id), "threaded diverged from round-robin");
+            prop_assert_eq!(a, session_signature(&th, id), "width 2 diverged from round-robin");
         }
 
         // The M:N work-stealing scheduler (ISSUE 7) extends the ladder:

@@ -4,8 +4,8 @@
 //!
 //! * **Shared, immutable** — the dataset, the index and the adjacency
 //!   graph. This is [`SimContext`]. Every trait object in it is `Sync`, so
-//!   one context is borrowed by all sessions at once (threaded sessions
-//!   read it concurrently without locks — it never changes during a run).
+//!   one context is borrowed by all sessions at once (sessions on different
+//!   workers read it concurrently without locks — it never changes during a run).
 //! * **Shared, mutable** — the page cache and the disk's shared clock.
 //!   These live *outside* the context: the cache is passed to the executor
 //!   separately (see [`PageCache`](scout_storage::PageCache)) and handles

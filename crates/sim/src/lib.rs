@@ -7,6 +7,8 @@
 //! shared sharded cache, the Figure-10 microbenchmark definitions, and
 //! experiment/reporting plumbing.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub(crate) mod batch;
 pub mod context;
 pub mod costs;

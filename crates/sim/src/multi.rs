@@ -2,25 +2,22 @@
 //!
 //! K concurrent clients ([`Session`]s), one shared
 //! [`ShardedCache`], one simulated disk whose busy time accumulates on a
-//! [`SharedClock`]. Two schedules execute the same bulk-synchronous round
+//! [`SharedClock`]. Both schedules execute the same bulk-synchronous round
 //! structure — round *i* first serves every session's query *i* against
 //! the cache state left by round *i − 1*, then runs every session's
 //! prefetch window:
 //!
-//! * [`Schedule::RoundRobin`] — one thread interleaves sessions in id
-//!   order. Fully deterministic: identical inputs produce byte-identical
-//!   reports.
-//! * [`Schedule::Threaded`] — one OS thread per session, phase edges
-//!   aligned with a [`Barrier`]. Cache membership per round is the union of
-//!   all sessions' inserts, so totals (pages hit, hit rate) match
-//!   round-robin whenever the cache is not evicting under pressure; scalar
-//!   interleaving inside a phase is up to the scheduler.
+//! * [`Schedule::RoundRobin`] — a plain loop interleaves sessions in id
+//!   order on the caller. Fully deterministic: identical inputs produce
+//!   byte-identical reports. This loop is the independent serial oracle
+//!   the scheduler is checked against; with batched I/O enabled it runs
+//!   through the scheduler at width 1 instead.
 //! * [`Schedule::WorkStealing`] — the M:N
-//!   [`SessionScheduler`](crate::SessionScheduler): a fixed worker crew
-//!   multiplexing any number of sessions via work-stealing run queues,
+//!   [`SessionScheduler`](crate::SessionScheduler): any number of sessions
+//!   over a crew of workers claiming from shared per-phase run queues,
 //!   with admission control (see [`AdmissionControl`]). Width 1 is
-//!   byte-identical to round-robin; wider crews keep the threaded mode's
-//!   totals contract.
+//!   byte-identical to round-robin; wider crews match its totals whenever
+//!   the cache is not evicting.
 //!
 //! See DESIGN.md §5 and §10 for the precise determinism guarantees of
 //! each mode.
@@ -33,14 +30,13 @@ use crate::prefetcher::GraphBuildCounters;
 use crate::report::{
     graph_cache_summary, pct, pct_or_na, percentiles_mut, LatencyPercentiles, Table,
 };
-use crate::scheduler::{run_width1_batched, AdmissionControl, SchedulerReport, SessionScheduler};
+use crate::scheduler::{AdmissionControl, SchedulerReport, SessionScheduler};
 use crate::session::Session;
 use crate::telemetry::{FleetTelemetry, TelemetryReport};
 use scout_storage::{
     hit_ratio, BatchPlan, BatchReport, CacheStats, FaultReport, ShardedCache, SharedClock,
 };
 use scout_telemetry::{CounterId, FlightLog, FlightRecorder, GaugeId};
-use std::sync::Barrier;
 
 /// How the engine schedules its sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,10 +44,6 @@ pub enum Schedule {
     /// Deterministic single-threaded interleaving in session-id order.
     #[default]
     RoundRobin,
-    /// One OS thread per session over the shared cache, with barriers at
-    /// phase edges. Caps out around hundreds of sessions; kept as the
-    /// reference implementation the M:N scheduler is measured against.
-    Threaded,
     /// M:N work-stealing over a fixed crew of `workers` threads
     /// (0 = [`default_parallelism`]). Scales to tens of thousands of
     /// sessions; honors [`MultiSessionConfig::admission`].
@@ -82,9 +74,6 @@ pub struct MultiSessionConfig {
     /// reads, single-flight cross-session duplicates, and submit them in
     /// seek-aware elevator order. Disabled by default, which keeps every
     /// schedule on the exact pre-batching code path, byte for byte.
-    /// Supported by [`Schedule::RoundRobin`] and
-    /// [`Schedule::WorkStealing`]; [`Schedule::Threaded`] (the legacy
-    /// reference implementation) rejects it at construction.
     pub batch: BatchPlan,
 }
 
@@ -112,10 +101,6 @@ impl MultiSessionExecutor {
     pub fn new(config: MultiSessionConfig) -> MultiSessionExecutor {
         config.exec.assert_valid();
         assert!(config.shards >= 1, "shard count must be >= 1");
-        assert!(
-            !(config.batch.enabled && matches!(config.schedule, Schedule::Threaded)),
-            "batched I/O requires the round-robin or work-stealing schedule"
-        );
         MultiSessionExecutor { config }
     }
 
@@ -144,7 +129,6 @@ impl MultiSessionExecutor {
         for session in &mut sessions {
             session.begin(&self.config.exec, Some(clock.clone()));
         }
-        let rounds = sessions.iter().map(Session::query_count).max().unwrap_or(0);
         let exec = &self.config.exec;
         // Arm telemetry strictly opt-in: `None` (the default) constructs
         // nothing, keeping every path byte-identical to a disarmed run.
@@ -163,25 +147,7 @@ impl MultiSessionExecutor {
         let mut scheduler: Option<SchedulerReport> = None;
 
         match self.config.schedule {
-            Schedule::RoundRobin if batch.is_some() => {
-                // The deterministic in-order batched loop — the same code
-                // width-1 work-stealing runs. Its scheduler counters are
-                // an M:N artifact and are dropped here, exactly like the
-                // plain round-robin arm never produces any; round-robin
-                // keeps ignoring admission control, so the policy passed
-                // is the always-open default.
-                let ctl = batch.as_ref().expect("guarded by the arm");
-                sessions = run_width1_batched(
-                    ctx,
-                    exec,
-                    cache,
-                    sessions,
-                    AdmissionControl::unlimited(),
-                    ctl,
-                )
-                .sessions;
-            }
-            Schedule::RoundRobin => {
+            Schedule::RoundRobin if batch.is_none() => {
                 // Park exhausted sessions: the round loop only visits
                 // sessions with work left, instead of spinning no-op
                 // serve/finish calls on short streams. Byte-identical to
@@ -198,43 +164,33 @@ impl MultiSessionExecutor {
                     active.retain(|&i| !sessions[i].is_done());
                 }
             }
-            Schedule::Threaded => {
-                // An empty fleet must assemble the same (empty) report as
-                // round-robin — explicitly, not by falling through a
-                // catch-all arm (a Barrier::new(0) would panic).
-                if !sessions.is_empty() {
-                    let barrier = Barrier::new(sessions.len());
-                    std::thread::scope(|scope| {
-                        for session in &mut sessions {
-                            let barrier = &barrier;
-                            scope.spawn(move || {
-                                for _ in 0..rounds {
-                                    session.serve_observe(ctx, &mut &*cache, exec);
-                                    barrier.wait();
-                                    session.finish_window(ctx, &mut &*cache, exec);
-                                    barrier.wait();
-                                }
-                            });
-                        }
-                    });
-                }
-            }
-            Schedule::WorkStealing { workers } => {
-                let width = if workers == 0 { default_parallelism() } else { workers };
+            schedule => {
+                // Batched round-robin is the scheduler at width 1 under
+                // the always-open admission policy (round-robin ignores
+                // admission control); its scheduler counters are an M:N
+                // artifact and are dropped, exactly like the plain loop
+                // never produces any.
+                let (width, admission) = match schedule {
+                    Schedule::WorkStealing { workers: 0 } => {
+                        (default_parallelism(), self.config.admission)
+                    }
+                    Schedule::WorkStealing { workers } => (workers, self.config.admission),
+                    Schedule::RoundRobin => (1, AdmissionControl::unlimited()),
+                };
                 let outcome = SessionScheduler::global().run_fleet(
                     ctx,
                     exec,
                     cache,
-                    sessions,
+                    &mut sessions,
                     width,
-                    self.config.admission,
+                    admission,
                     batch.as_ref(),
                     telemetry.as_ref(),
                 );
-                sessions = outcome.sessions;
                 shed = outcome.shed;
-                shed.resize(sessions.len(), false);
-                scheduler = Some(outcome.report);
+                if let Schedule::WorkStealing { .. } = schedule {
+                    scheduler = Some(outcome.report);
+                }
             }
         }
 
@@ -271,11 +227,7 @@ impl MultiSessionExecutor {
             }
             flight.seal();
             let shed_count = shed.iter().filter(|&&s| s).count();
-            let crew = match self.config.schedule {
-                Schedule::RoundRobin => 1,
-                Schedule::Threaded => sessions.len().max(1),
-                Schedule::WorkStealing { .. } => scheduler.as_ref().map_or(1, |r| r.workers),
-            };
+            let crew = scheduler.as_ref().map_or(1, |r| r.workers);
             tm.registry.gauge_raise(GaugeId::WorkerCrew, crew as u64);
             tm.registry
                 .gauge_raise(GaugeId::ResidentSessions, (sessions.len() - shed_count) as u64);
@@ -682,30 +634,13 @@ mod tests {
     }
 
     #[test]
-    fn threaded_runs_every_session_to_completion() {
-        let objs = dataset();
-        let tree = RTree::bulk_load_with_capacity(&objs, 8);
-        let ctx = SimContext::new(&objs, &tree, Aabb::new(Vec3::ZERO, Vec3::splat(300.0)));
-        let engine = MultiSessionExecutor::new(MultiSessionConfig {
-            schedule: Schedule::Threaded,
-            ..Default::default()
-        });
-        let report = engine.run(&ctx, sessions(4, 5));
-        assert_eq!(report.sessions.len(), 4);
-        for (i, s) in report.sessions.iter().enumerate() {
-            assert_eq!(s.id, i, "reports must be ordered by session id");
-            assert_eq!(s.queries, 5);
-        }
-    }
-
-    #[test]
     fn mixed_length_sessions_are_handled() {
         let objs = dataset();
         let tree = RTree::bulk_load_with_capacity(&objs, 8);
         let ctx = SimContext::new(&objs, &tree, Aabb::new(Vec3::ZERO, Vec3::splat(300.0)));
         for schedule in [
             Schedule::RoundRobin,
-            Schedule::Threaded,
+            Schedule::WorkStealing { workers: 2 },
             Schedule::WorkStealing { workers: 1 },
             Schedule::WorkStealing { workers: 3 },
         ] {
@@ -725,17 +660,19 @@ mod tests {
 
     #[test]
     fn empty_session_list_assembles_the_same_report_everywhere() {
-        // Regression: `Schedule::Threaded` used to fall through a silent
-        // `=> {}` arm for empty fleets; all schedules must reach the same
-        // assembled (empty) report.
+        // Regression: an empty fleet once fell through a silent `=> {}`
+        // arm; every schedule and width must reach the same assembled
+        // (empty) report.
         let objs = dataset();
         let tree = RTree::bulk_load_with_capacity(&objs, 8);
         let ctx = SimContext::new(&objs, &tree, Aabb::new(Vec3::ZERO, Vec3::splat(300.0)));
         let reference =
             MultiSessionExecutor::new(MultiSessionConfig::default()).run(&ctx, Vec::new()).render();
-        for schedule in
-            [Schedule::RoundRobin, Schedule::Threaded, Schedule::WorkStealing { workers: 2 }]
-        {
+        for schedule in [
+            Schedule::RoundRobin,
+            Schedule::WorkStealing { workers: 1 },
+            Schedule::WorkStealing { workers: 2 },
+        ] {
             let engine =
                 MultiSessionExecutor::new(MultiSessionConfig { schedule, ..Default::default() });
             let report = engine.run(&ctx, Vec::new());

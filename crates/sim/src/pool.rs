@@ -71,6 +71,11 @@ impl Job {
     /// caller must keep `f` alive until every participating worker has
     /// finished its part (the `remaining == 0` join handshake).
     pub(crate) fn erase<'f>(f: &'f (dyn Fn(usize) + Sync)) -> Job {
+        // SAFETY: the transmute changes only the trait object's lifetime
+        // bound; pointer layout and vtable are identical. The caller keeps
+        // `f` alive until every worker holding the erased pointer has
+        // finished its part (the `remaining == 0` join), so no dereference
+        // outlives `'f`.
         Job(unsafe {
             std::mem::transmute::<
                 *const (dyn Fn(usize) + Sync + 'f),
@@ -337,6 +342,9 @@ pub struct SharedSlice<'a, T> {
 // SAFETY: access is delegated to the caller's disjointness contract; the
 // wrapper itself only carries the pointer across threads.
 unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
+// SAFETY: a shared `&SharedSlice` only exposes the `unsafe` writers, whose
+// contract forbids two parts touching one index, so concurrent use from
+// several threads never aliases an element.
 unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
 
 impl<'a, T> SharedSlice<'a, T> {
@@ -363,6 +371,10 @@ impl<'a, T> SharedSlice<'a, T> {
     #[inline]
     pub unsafe fn write(&self, idx: usize, value: T) {
         debug_assert!(idx < self.len);
+        // SAFETY: the caller guarantees `idx < len`, so the offset stays
+        // inside the borrowed slice, and that no other part touches `idx`
+        // during this `run`, so the write races with nothing. The old value
+        // is overwritten without being dropped (a leak at worst).
         unsafe { self.ptr.add(idx).write(value) };
     }
 
@@ -375,6 +387,10 @@ impl<'a, T> SharedSlice<'a, T> {
     #[allow(clippy::mut_from_ref)] // the disjointness contract is the caller's
     pub unsafe fn slice_mut(&self, range: std::ops::Range<usize>) -> &mut [T] {
         debug_assert!(range.start <= range.end && range.end <= self.len);
+        // SAFETY: the caller guarantees `range` lies inside the borrowed
+        // slice (valid, initialized, lifetime `'a`) and that no other part
+        // touches any index in it during this `run`, so the returned
+        // `&mut` is the only live reference to those elements.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
     }
 }

@@ -101,7 +101,7 @@ impl Session {
     }
 
     /// The session id (stable reporting key, independent of completion
-    /// order in threaded runs).
+    /// order in multi-worker runs).
     pub fn id(&self) -> usize {
         self.id
     }
@@ -180,7 +180,8 @@ impl Session {
         self.disk.clock().map_or(0.0, |c| c.now_us())
     }
 
-    /// Scheduler hook: the session was stolen onto `worker`'s queue.
+    /// Scheduler hook: the session migrated to `worker` (its previous step
+    /// ran on another one).
     pub(crate) fn note_stolen(&mut self, worker: u32) {
         let t = self.now_us();
         if let Some(tm) = &mut self.telem {
@@ -526,9 +527,9 @@ impl Session {
     }
 }
 
-/// Sessions migrate onto worker threads in threaded mode. (Compile-time
-/// check; holds because `Prefetcher: Send` and all other fields are owned
-/// plain data.)
+/// Sessions migrate between worker threads under work stealing.
+/// (Compile-time check; holds because `Prefetcher: Send` and all other
+/// fields are owned plain data.)
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Session>();

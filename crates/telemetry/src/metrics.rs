@@ -36,7 +36,7 @@ pub enum CounterId {
     PrefetchPages,
     /// Overhead pages read for gap traversal.
     GapPages,
-    /// Sessions taken from another worker's queue.
+    /// Cross-worker session migrations (the scheduler's `steals`).
     SessionsStolen,
     /// Sessions parked at a phase boundary.
     SessionsParked,

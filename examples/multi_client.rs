@@ -9,7 +9,7 @@
 //!
 //! 1. private caches — every client simulated alone (the seed behavior),
 //! 2. one shared `ShardedCache`, deterministic round-robin schedule,
-//! 3. the same shared cache on one OS thread per session.
+//! 3. the same shared cache with sessions spread over two worker threads.
 //!
 //! The report shows per-session residual-latency percentiles (p50/p95/p99)
 //! and the shared-cache hit rate; a final pass adds a prefetch-less
@@ -84,16 +84,18 @@ fn main() {
         rr.render()
     );
 
-    // 3. Same fleet, one OS thread per session.
+    // 3. Same fleet, two worker threads claiming sessions from shared
+    //    run queues.
     let engine = MultiSessionExecutor::new(MultiSessionConfig {
         exec,
         shards: 8,
-        schedule: Schedule::Threaded,
+        schedule: Schedule::WorkStealing { workers: 2 },
         ..Default::default()
     });
     let th = engine.run(&ctx, sessions(&streams));
     println!(
-        "threaded ({} OS threads): hit rate {:.1} %, total pages hit {} (round-robin: {})",
+        "work stealing ({} clients on 2 workers): hit rate {:.1} %, total pages hit {} \
+         (round-robin: {})",
         CLIENTS,
         100.0 * th.hit_rate(),
         th.total_pages_hit(),

@@ -1,5 +1,5 @@
 //! Acceptance tests of the multi-session engine (ISSUE 2): round-robin
-//! determinism, round-robin vs. threaded accounting equivalence, and
+//! determinism, round-robin vs. multi-threaded accounting equivalence, and
 //! cross-session cache sharing. Extended for the M:N work-stealing
 //! scheduler (ISSUE 7): width-1 byte-identity with round-robin, totals
 //! equality at every width, admission control, and fleet edge cases.
@@ -67,21 +67,22 @@ fn threaded_totals_match_round_robin() {
 
     let rr = MultiSessionExecutor::new(ample_config(&bed, 8, Schedule::RoundRobin))
         .run(&ctx, scout_sessions(&streams));
-    let th = MultiSessionExecutor::new(ample_config(&bed, 8, Schedule::Threaded))
-        .run(&ctx, scout_sessions(&streams));
+    let th =
+        MultiSessionExecutor::new(ample_config(&bed, 8, Schedule::WorkStealing { workers: 2 }))
+            .run(&ctx, scout_sessions(&streams));
 
     // The exact-equality guarantee below holds only under the DESIGN.md §5
     // preconditions (no evictions; window budgets never binding). Assert
     // the observable one so a workload drift fails loudly as a broken
     // precondition instead of surfacing as a mysterious flake.
     assert_eq!(rr.cache.evictions, 0, "precondition violated: round-robin run evicted");
-    assert_eq!(th.cache.evictions, 0, "precondition violated: threaded run evicted");
+    assert_eq!(th.cache.evictions, 0, "precondition violated: width-2 run evicted");
 
     assert_eq!(rr.total_pages(), th.total_pages(), "result-page totals must be identical");
     assert_eq!(
         rr.total_pages_hit(),
         th.total_pages_hit(),
-        "threaded K=8 must hit the same total pages as round-robin (order-independent \
+        "width-2 K=8 must hit the same total pages as round-robin (order-independent \
          accounting)"
     );
     // Per-session accounting also matches: reports are keyed by id.
@@ -233,7 +234,7 @@ fn zero_query_fleet_terminates_instantly() {
     let ctx = bed.ctx_rtree();
     for schedule in [
         Schedule::RoundRobin,
-        Schedule::Threaded,
+        Schedule::WorkStealing { workers: 2 },
         Schedule::WorkStealing { workers: 1 },
         Schedule::WorkStealing { workers: 4 },
     ] {
